@@ -28,6 +28,9 @@ import pyarrow.compute as pc
 import ray.data
 
 from clonebas_ray.bootstrap import ensure_worker_importable
+from clonebas_ray.functions.kernels import (
+    run_starts, sorted_runs, splitmix64, union_find,
+)
 
 # The Stack v1 near-dedup preprocessing gates (Kocetkov et al. 2022 §3):
 # files with a line longer than 1000 chars, mean line length > 100, or
@@ -892,15 +895,9 @@ def _bag_tables(
         # within-file lexicographic token order via a string-rank view
         str_rank = np.empty(len(vocab), dtype=np.int64)
         str_rank[np.argsort(vocab, kind="stable")] = np.arange(len(vocab))
-        order = np.lexsort((str_rank[codes], fidx))
+        order, starts, cnts = sorted_runs(fidx, str_rank[codes])
         fi, co = fidx[order], codes[order]
-        first = np.empty(len(fi), dtype=bool)
-        if len(fi):
-            first[0] = True
-            np.logical_or(fi[1:] != fi[:-1], co[1:] != co[:-1],
-                          out=first[1:])
-        starts = np.flatnonzero(first)
-        cnts = np.diff(np.r_[starts, len(fi)]).astype(np.int32)
+        cnts = cnts.astype(np.int32)
         ufi, uco = fi[starts], co[starts]
         # per-file list offsets over the distinct-token rows
         n = len(lengths)
@@ -985,7 +982,6 @@ def _token_bag_rep_pairs(
     from clonebas_ray.ops.text_dedup import (
         _VERIFY_LOOKUP_BUDGET,
         _concat_sorted_by_id,
-        _mix64,
         _tab_nbytes,
     )
 
@@ -1014,7 +1010,7 @@ def _token_bag_rep_pairs(
     def add_fpart(batch: pa.Table) -> pa.Table:
         bk = batch["bag_key"].to_numpy(zero_copy_only=False).astype(
             np.uint64)
-        part = (_mix64(bk) % np.uint64(P)).astype(np.int32)
+        part = (splitmix64(bk) % np.uint64(P)).astype(np.int32)
         return batch.append_column("fpart", pa.array(part, pa.int32()))
 
     def fam_partition(g: pa.Table) -> pa.Table:
@@ -1028,10 +1024,8 @@ def _token_bag_rep_pairs(
                 "len": pa.array([], pa.int64()),
                 "fam_m": pa.array([], pa.int64()),
             })
-        order = np.lexsort((di, bk))
-        bk_s, di_s = bk[order], di[order]
-        starts = np.flatnonzero(np.r_[True, bk_s[1:] != bk_s[:-1]])
-        counts = np.diff(np.r_[starts, len(bk_s)])
+        order, starts, counts = sorted_runs(bk, di, run_keys=1)
+        di_s = di[order]
         reps = np.repeat(di_s[starts], counts)
         fam_m = np.repeat(counts.astype(np.int64), counts)
         idx = pa.array(order, pa.int64())
@@ -1136,16 +1130,14 @@ def _token_bag_rep_pairs(
         lens = batch["len"].to_numpy(zero_copy_only=False)
         ids = batch["doc_id"].to_numpy(zero_copy_only=False)
         p = lens - ((num * lens + den - 1) // den) + 1
-        order = np.lexsort((ranks, fidx))
+        order, starts, seg_len = sorted_runs(fidx, ranks, run_keys=1)
         r_s, c_s, f_s = ranks[order], cnts[order], fidx[order]
         cum = np.cumsum(c_s)
-        starts = np.flatnonzero(np.r_[True, f_s[1:] != f_s[:-1]])
-        seg_len = np.diff(np.r_[starts, len(f_s)])
         seg_base = np.repeat(cum[starts] - c_s[starts], seg_len)
         prev_in_file = (cum - c_s) - seg_base
         mask = prev_in_file < p[f_s]
         pr = r_s[mask]
-        part = (_mix64(pr.astype(np.uint64)) % np.uint64(P)).astype(
+        part = (splitmix64(pr.astype(np.uint64)) % np.uint64(P)).astype(
             np.int32)
         return pa.table({
             "prank": pa.array(pr, pa.int64()),
@@ -1182,10 +1174,8 @@ def _token_bag_rep_pairs(
         po = g["pos"].to_numpy(zero_copy_only=False)
         if not len(pr):
             return _EMPTY_BLOBS
-        order = np.lexsort((di, ln, pr))
-        pr, di, ln, po = pr[order], di[order], ln[order], po[order]
-        starts = np.flatnonzero(np.r_[True, pr[1:] != pr[:-1]])
-        counts = np.diff(np.r_[starts, len(pr)])
+        order, starts, counts = sorted_runs(pr, ln, di, run_keys=1)
+        di, ln, po = di[order], ln[order], po[order]
         out_a, out_b = [], []
         budget = max_pairs_per_task
         for s, c in zip(starts[counts >= 2], counts[counts >= 2]):
@@ -1232,25 +1222,19 @@ def _token_bag_rep_pairs(
         if not len(A):  # every feasible pair position-pruned
             return _EMPTY_BLOBS
         A, B = np.minimum(A, B), np.maximum(A, B)
-        o = np.lexsort((B, A))
-        A, B = A[o], B[o]
-        keep = np.empty(len(A), dtype=bool)
-        keep[0] = True
-        np.logical_or(A[1:] != A[:-1], B[1:] != B[:-1], out=keep[1:])
-        A, B = A[keep], B[keep]
+        o, keep, _ = sorted_runs(A, B)
+        A, B = A[o[keep]], B[o[keep]]
         # pack per dedup partition: one blob = a-halves then b-halves
         part = (
-            _mix64(A.astype(np.uint64) * np.uint64(3)
-                   + B.astype(np.uint64)) % np.uint64(P)
+            splitmix64(A.astype(np.uint64) * np.uint64(3)
+                       + B.astype(np.uint64)) % np.uint64(P)
         ).astype(np.int32)
-        po_ = np.argsort(part, kind="stable")
+        po_, pstarts, pcounts = sorted_runs(part)
         A, B, part = A[po_], B[po_], part[po_]
-        pstarts = np.flatnonzero(np.r_[True, part[1:] != part[:-1]])
-        pends = np.r_[pstarts[1:], len(part)]
         blobs = [
-            A[s:e].astype("<i8").tobytes()
-            + B[s:e].astype("<i8").tobytes()
-            for s, e in zip(pstarts, pends)
+            A[s:s + c].astype("<i8").tobytes()
+            + B[s:s + c].astype("<i8").tobytes()
+            for s, c in zip(pstarts, pcounts)
         ]
         return pa.table({
             "pair_part": pa.array(part[pstarts], pa.int32()),
@@ -1279,16 +1263,10 @@ def _token_bag_rep_pairs(
         parts = [_unpack(b) for b in blobs]
         A = np.concatenate([p[0] for p in parts])
         B = np.concatenate([p[1] for p in parts])
-        if not len(A):
-            return _EMPTY_PAIRS
-        o = np.lexsort((B, A))
-        A, B = A[o], B[o]
-        keep = np.empty(len(A), dtype=bool)
-        keep[0] = True
-        np.logical_or(A[1:] != A[:-1], B[1:] != B[:-1], out=keep[1:])
+        o, keep, _ = sorted_runs(A, B)
         return pa.table({
-            "doc_a": pa.array(A[keep], pa.int64()),
-            "doc_b": pa.array(B[keep], pa.int64()),
+            "doc_a": pa.array(A[o[keep]], pa.int64()),
+            "doc_b": pa.array(B[o[keep]], pa.int64()),
         })
 
     distinct_pairs = (
@@ -1426,7 +1404,7 @@ def _token_bag_rep_pairs(
         xb = pos[xa]
         mins = np.minimum(cval[flat_a[xa]], cval[flat_b[xb]])
         pid = (key_a[xa] >> np.uint64(32)).astype(np.int64)
-        starts = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
+        starts = run_starts(pid)
         ov = np.add.reduceat(mins, starts)
         rows = pid[starts]
         mx = np.maximum(lens[pa_[rows]], lens[pb_[rows]])
@@ -1476,7 +1454,7 @@ def _token_bag_rep_pairs(
         xb = pos[xa]
         mins = np.minimum(cval_a[xa], cval_b[xb])
         pid = (key_a[xa] >> np.uint64(32)).astype(np.int64)
-        starts = np.flatnonzero(np.r_[True, pid[1:] != pid[:-1]])
+        starts = run_starts(pid)
         ov = np.add.reduceat(mins, starts)
         rows = pid[starts]
         mx = np.maximum(la[rows], lb[rows])
@@ -1785,7 +1763,7 @@ def token_bag_clusters(
     exactly (``doc_id = md5_low64(repo || '/' || path) % 2^63``).
     """
     ensure_worker_importable()
-    from clonebas_ray.ops.text_dedup import _stream_int_union_find
+    from clonebas_ray.functions.kernels import stream_min_labels
 
     rep_pairs, families = _token_bag_rep_pairs(
         ds, threshold, content_col, max_pairs_per_task, stats)
@@ -1802,7 +1780,7 @@ def token_bag_clusters(
 
     edges = families.map_batches(
         star_edges, batch_format="pyarrow", batch_size=None)
-    assign = _stream_int_union_find(
+    assign = stream_min_labels(
         [rep_pairs.select_columns(["id_a", "id_b"]), edges],
         cols=("id_a", "id_b"),
     )
@@ -1876,27 +1854,13 @@ def repo_fork_dedup(
             counts[r] = counts.get(r, 0) + n
 
     # string union-find over fork pairs (pairs are O(repos), streamed)
-    parent: dict[str, str] = {}
-
-    def find(x: str) -> str:
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    for b in pairs.iter_batches(batch_format="pyarrow",
-                                batch_size=65536):
-        for a, c in zip(b["repo_a"].to_pylist(),
-                        b["repo_b"].to_pylist()):
-            parent.setdefault(a, a)
-            parent.setdefault(c, c)
-            ra, rc = find(a), find(c)
-            if ra != rc:
-                if rc < ra:
-                    ra, rc = rc, ra
-                parent[rc] = ra
-
+    roots = union_find(
+        (b["repo_a"].to_pylist(), b["repo_b"].to_pylist())
+        for b in pairs.iter_batches(batch_format="pyarrow",
+                                    batch_size=65536)
+    )
     repos = sorted(counts)
-    cluster = [find(r) if r in parent else r for r in repos]
+    cluster = [roots.get(r, r) for r in repos]
     # winner per cluster: most files, tie -> smallest repo name
     best: dict[str, str] = {}
     for r, cl in zip(repos, cluster):
@@ -2172,14 +2136,12 @@ def edit_clones(
         repos = np.asarray(batch["repo"].to_pylist(), dtype=object)
         texts = batch["content"].to_pylist()
         lens = np.fromiter(map(len, texts), np.int64, len(texts))
-        order = np.lexsort((lens, paths))
+        # runs per path (sorted), candidates via the two-pointer
+        # length window inside each run
+        order, starts, counts = sorted_runs(paths, lens, run_keys=1)
         paths, repos, lens = paths[order], repos[order], lens[order]
         texts = [texts[i] for i in order]
-        # run boundaries per path (sorted), candidates via the
-        # two-pointer length window inside each run
-        starts = np.flatnonzero(
-            np.concatenate(([True], paths[1:] != paths[:-1])))
-        ends = np.append(starts[1:], len(paths))
+        ends = starts + counts
         ii, jj = [], []
         for s, e in zip(starts, ends):
             j = s

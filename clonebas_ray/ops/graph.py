@@ -57,6 +57,7 @@ import ray
 import ray.data
 
 from clonebas_ray.bootstrap import ensure_worker_importable
+from clonebas_ray.functions.kernels import sorted_runs
 
 ITEM_BASE = 1_000_000_000  # disjoints item ids from user ids
 
@@ -109,15 +110,10 @@ def _edge_pack(batch: pa.Table, n_parts: int) -> pa.Table:
          + pairs["b"].astype(np.uint64)) >> np.uint64(33)
     ) % np.uint64(n_parts)
     parts, blobs = [], []
-    order = np.argsort(part, kind="stable")
-    bounds = np.flatnonzero(np.diff(part[order])) + 1
-    for chunk, pv in zip(
-        np.split(order, bounds),
-        part[order][np.concatenate(([0], bounds))] if len(order)
-        else [],
-    ):
-        parts.append(int(pv))
-        blobs.append(pairs[chunk].tobytes())
+    order, starts, counts = sorted_runs(part)
+    for s, c in zip(starts, counts):
+        parts.append(int(part[order[s]]))
+        blobs.append(pairs[order[s:s + c]].tobytes())
     return pa.table({
         "part": pa.array(parts, pa.int64()),
         "blob": pa.array(blobs, pa.binary()),
@@ -161,10 +157,8 @@ def _block_prep(tab: pa.Table, node_ids: np.ndarray, n_nodes: int):
     dst = tab["dst"].to_numpy(zero_copy_only=False)
     si = np.searchsorted(node_ids, src).astype(np.int64)
     di = np.searchsorted(node_ids, dst).astype(np.int64)
-    order = np.argsort(di, kind="stable")
+    order, runs, _ = sorted_runs(di)
     di_sorted = di[order]
-    runs = np.flatnonzero(np.concatenate(
-        ([True], di_sorted[1:] != di_sorted[:-1])))
     deg = np.bincount(si, minlength=n_nodes).astype(np.int64)
     return si[order], di_sorted[runs], runs, deg
 
@@ -296,16 +290,11 @@ def pagerank_edges(
                 (pairs["a"].astype(np.uint64) * _MIX
                  + pairs["b"].astype(np.uint64)) >> np.uint64(33)
             ) % np.uint64(n_parts)
-            order = np.argsort(part, kind="stable")
-            bounds = np.flatnonzero(np.diff(part[order])) + 1
+            order, starts, counts = sorted_runs(part)
             parts, blobs = [], []
-            for chunk, pv in zip(
-                np.split(order, bounds),
-                part[order][np.concatenate(([0], bounds))]
-                if len(order) else [],
-            ):
-                parts.append(int(pv))
-                blobs.append(pairs[chunk].tobytes())
+            for s, c in zip(starts, counts):
+                parts.append(int(part[order[s]]))
+                blobs.append(pairs[order[s:s + c]].tobytes())
             return pa.table({
                 "part": pa.array(parts, pa.int64()),
                 "blob": pa.array(blobs, pa.binary()),
@@ -425,10 +414,8 @@ def _piece_prep(tab: pa.Table, ids_k: np.ndarray, k: int,
         e = np.array([], np.int64)
         return e, e, e, np.zeros(nk, np.int64)
     si = np.searchsorted(ids_k, src).astype(np.int64)
-    order = np.argsort(dst, kind="stable")
+    order, runs, _ = sorted_runs(dst)
     dst_sorted = dst[order]
-    runs = np.flatnonzero(np.concatenate(
-        ([True], dst_sorted[1:] != dst_sorted[:-1])))
     deg = np.bincount(si, minlength=nk).astype(np.int64)
     return si[order], dst_sorted[runs], runs, deg
 

@@ -25,6 +25,8 @@ import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
 
 from clonebas_ray.bootstrap import ensure_worker_importable
+from clonebas_ray.functions.kernels import fib_bucket, sorted_runs
+from clonebas_ray.functions.murmur3 import md5_low64
 
 
 def _read(sf_dir: str, table: str, columns=None) -> ray.data.Dataset:
@@ -216,6 +218,110 @@ def auto_partitions(mult: int = 4, lo: int = 64, hi: int = 4096) -> int:
     return int(min(hi, max(lo, cpus * mult)))
 
 
+def dup_winner_broadcast(
+    ds: ray.data.Dataset, occurrences, n_ties: int = 1
+) -> ray.ObjectRef:
+    """The dup-winner broadcast behind every keep-first exact dedup.
+
+    ``occurrences(batch) -> (h, *ties)`` maps a pyarrow block to one
+    uint64 content hash per occurrence plus ``n_ties`` int64 tie-break
+    arrays; the winner of a hash is its occurrence with the smallest
+    tie tuple.  Each block collapses to one row per distinct hash (its
+    local min tie tuple and count), one ``hp``-bucketed shuffle merges
+    the partials — equal hashes never split across partitions, so the
+    count sum is global and each run's first row is the global winner
+    — and the winners of hashes seen >= 2 times are ``ray.put`` once as
+    ``(hashes ascending, *winner ties)``.  The table is bounded by
+    DUPLICATED contents, not corpus size, and content never shuffles.
+    ``ds`` executes once here; the caller's filter pass reads it
+    again, so it should be materialized or checkpoint-backed."""
+    P = auto_partitions()
+    ties = [f"t{j}" for j in range(n_ties)]
+
+    def partial(batch: pa.Table) -> pa.Table:
+        h, *tv = occurrences(batch)
+        order, starts, counts = sorted_runs(h, *tv, run_keys=1)
+        first = order[starts]
+        return pa.table({
+            "hp": pa.array(fib_bucket(h[first], P), pa.int32()),
+            "h": pa.array(h[first], pa.uint64()),
+            **{t: pa.array(v[first], pa.int64()) for t, v in zip(ties, tv)},
+            "c": pa.array(counts, pa.int64()),
+        })
+
+    def winners(g: pa.Table) -> pa.Table:
+        h = g["h"].to_numpy(zero_copy_only=False)
+        tv = [g[t].to_numpy(zero_copy_only=False) for t in ties]
+        order, starts, _ = sorted_runs(h, *tv, run_keys=1)
+        c = g["c"].to_numpy(zero_copy_only=False)[order]
+        tot = np.add.reduceat(c, starts) if len(c) else c
+        first = order[starts][tot >= 2]
+        return pa.table({
+            "h": pa.array(h[first], pa.uint64()),
+            **{t: pa.array(v[first], pa.int64()) for t, v in zip(ties, tv)},
+        })
+
+    won = list(
+        ds.map_batches(partial, batch_format="pyarrow", batch_size=None)
+        .groupby("hp")
+        .map_groups(winners, batch_format="pyarrow")
+        .iter_batches(batch_format="pyarrow", batch_size=None)
+    )
+    cols = [
+        np.concatenate(
+            [b[name].to_numpy(zero_copy_only=False) for b in won]
+            or [np.empty(0, np.uint64 if name == "h" else np.int64)]
+        )
+        for name in ["h", *ties]
+    ]
+    order = np.argsort(cols[0])
+    return ray.put(tuple(np.ascontiguousarray(c[order]) for c in cols))
+
+
+def dup_winner_keep(win: tuple, h: np.ndarray, *ties) -> np.ndarray:
+    """Keep mask of occurrences ``(h, *ties)`` against a
+    :func:`dup_winner_broadcast` table: an occurrence survives unless
+    its hash is duplicated and it is not the winner."""
+    wh = win[0]
+    if not len(wh):
+        return np.ones(len(h), dtype=bool)
+    pos = np.minimum(np.searchsorted(wh, h), len(wh) - 1)
+    keep = wh[pos] != h
+    won = np.ones(len(h), dtype=bool)
+    for w, t in zip(win[1:], ties):
+        won &= w[pos] == t
+    return keep | won
+
+
+def keep_first_occurrence(
+    ds: ray.data.Dataset, id_col: str, text_col: str
+) -> ray.data.Dataset:
+    """Exact dedup of ``ds`` via the dup-winner broadcast: of the rows
+    sharing one ``text_col`` content (md5 low-64), keep only the one
+    with the smallest ``id_col``.  ``ds`` must be re-consumable
+    (materialized or checkpoint-backed): it is read once for the
+    partials and once for the filter."""
+
+    def occurrences(batch: pa.Table) -> tuple[np.ndarray, np.ndarray]:
+        h = np.fromiter(
+            (md5_low64(t.encode("utf-8", "surrogatepass"))
+             for t in batch[text_col].to_pylist()),
+            dtype=np.uint64, count=batch.num_rows,
+        )
+        return h, batch[id_col].to_numpy(zero_copy_only=False)
+
+    win_ref = dup_winner_broadcast(ds, occurrences)
+
+    def keep(batch: pa.Table) -> pa.Table:
+        win = ray.get(win_ref)
+        if not len(win[0]):
+            return batch
+        return batch.filter(
+            pa.array(dup_winner_keep(win, *occurrences(batch))))
+
+    return ds.map_batches(keep, batch_format="pyarrow", batch_size=None)
+
+
 def hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -253,19 +359,13 @@ def hash_join(
             h = (pd.util.hash_array(np.asarray(k)) % num_buckets).astype(
                 np.int64
             )
-            order = np.argsort(h, kind="stable")
+            order, starts, counts = sorted_runs(h)
             hs = h[order]
             srt = batch.take(pa.array(order, pa.int64()))
-            starts = np.concatenate(
-                [[0], np.flatnonzero(np.diff(hs)) + 1]
-            ) if len(hs) else np.empty(0, np.int64)
-            ends = np.concatenate(
-                [starts[1:], [len(hs)]]
-            ) if len(hs) else starts
             buckets, payloads = [], []
-            for s, e in zip(starts, ends):
+            for s, c in zip(starts, counts):
                 sink = pa.BufferOutputStream()
-                sub = srt.slice(s, e - s)
+                sub = srt.slice(s, c)
                 with pa.ipc.new_stream(sink, sub.schema) as w:
                     w.write_table(sub)
                 buckets.append(int(hs[s]))

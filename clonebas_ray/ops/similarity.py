@@ -25,6 +25,7 @@ import ray
 import ray.data
 
 from clonebas_ray.bootstrap import ensure_worker_importable
+from clonebas_ray.functions.kernels import sorted_runs
 
 
 def _batch_embeddings(batch: pa.Table, col: str) -> np.ndarray:
@@ -509,13 +510,13 @@ def embedding_near_dup_clusters(
     ``iter_batches`` (O(nodes) driver memory — near-dup-bounded),
     never a full pair-table ``to_pandas``."""
     ensure_worker_importable()
-    from clonebas_ray.ops.text_dedup import _stream_int_union_find
+    from clonebas_ray.functions.kernels import stream_min_labels
 
     pairs = embedding_near_dup_pairs(
         vectors, threshold=threshold, id_col=id_col, emb_col=emb_col,
         **kwargs,
     )
-    out = _stream_int_union_find([pairs], cols=("vec_a", "vec_b"))
+    out = stream_min_labels([pairs], cols=("vec_a", "vec_b"))
     return out.rename_columns([id_col, "cluster_id"])
 
 
@@ -569,15 +570,10 @@ def _collapse_identical_vectors(
                  "vec_b": pd.Series(dtype="int64"),
                  "cosine": pd.Series(dtype="float64")}
             )
-        order = np.lexsort((vid, vh))
-        vh, vid = vh[order], vid[order]
-        first = np.empty(len(vh), dtype=bool)
-        first[0] = True
-        np.logical_or(vh[1:] != vh[:-1], vid[1:] != vid[:-1],
-                      out=first[1:])
-        vh, vid = vh[first], vid[first]  # distinct, vid asc per family
-        starts = np.flatnonzero(np.r_[True, vh[1:] != vh[:-1]])
-        counts = np.diff(np.r_[starts, len(vh)])
+        order, first, _ = sorted_runs(vh, vid)
+        # distinct, vid asc per family
+        vh, vid = vh[order][first], vid[order][first]
+        _, starts, counts = sorted_runs(vh)
         a = np.repeat(vid[starts], counts - 1)
         member_mask = np.ones(len(vid), dtype=bool)
         member_mask[starts] = False

@@ -18,6 +18,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from clonebas_ray.bootstrap import ensure_worker_importable
+from clonebas_ray.functions.kernels import run_starts, sorted_runs
 
 #: per-language stopword lists for the stopword-ratio heuristic
 #: language identifier (public common-word lists).  Dict order is the
@@ -1402,19 +1403,12 @@ def bm25_topk(
                 id_col: pa.array([], pa.int64()),
                 "score": pa.array([], pa.float64()),
             })
-        order = np.lexsort((ti, fi))
-        fi, ti = fi[order], ti[order]
-        first = np.empty(len(fi), dtype=bool)
-        first[0] = True
-        np.logical_or(fi[1:] != fi[:-1], ti[1:] != ti[:-1],
-                      out=first[1:])
-        starts = np.flatnonzero(first)
-        tf = np.diff(np.r_[starts, len(fi)]).astype(np.int64)
-        ufi, uti = fi[starts], ti[starts]
+        order, starts, tf = sorted_runs(fi, ti)
+        ufi, uti = fi[order][starts], ti[order][starts]
         dlr = dl[ufi].astype(np.float64)
         s = idf_[uti] * (tf * (k1 + 1.0)) / (
             tf + k1 * (1.0 - b + b * dlr / avg))
-        dstart = np.flatnonzero(np.r_[True, ufi[1:] != ufi[:-1]])
+        dstart = run_starts(ufi)
         dend = np.r_[dstart[1:], len(ufi)]
         # rows are (doc, term-ascending): explicit per-doc left fold —
         # np.add.reduceat is NOT left-associated (measured one-ulp

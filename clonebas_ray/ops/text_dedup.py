@@ -31,6 +31,9 @@ import ray.data
 
 from clonebas_ray.bootstrap import ensure_worker_importable
 
+from clonebas_ray.functions.kernels import (
+    fib_bucket, sorted_runs, splitmix64, stream_min_labels,
+)
 from clonebas_ray.functions.murmur3 import hash128, md5_low64
 
 
@@ -244,17 +247,6 @@ def _concat_sorted_by_id(*tabs: pa.Table) -> pa.Table:
     return t.take(_pc.sort_indices(t, sort_keys=[("doc_id", "ascending")]))
 
 
-def _mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer (bit mixer for partition/set keys)."""
-    z = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z ^= z >> np.uint64(30)
-    z = (z * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
-    z ^= z >> np.uint64(27)
-    z = (z * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
-    z ^= z >> np.uint64(31)
-    return z
-
-
 def _shingle_hashes(tokens: list[int], k: int) -> np.ndarray:
     """k-token shingle hashes from per-token 64-bit hashes via a
     rolling polynomial (vectorized)."""
@@ -336,8 +328,8 @@ class MinHasher:
         else:
             v = sh
             tag = np.uint64(0)
-        acc = _mix64(v).sum(dtype=np.uint64) if len(v) else np.uint64(0)
-        return _mix64(
+        acc = splitmix64(v).sum(dtype=np.uint64) if len(v) else np.uint64(0)
+        return splitmix64(
             np.array([acc ^ tag ^ np.uint64(len(v))], dtype=np.uint64)
         )[0]
 
@@ -485,6 +477,16 @@ def minhash_lsh_pairs(
     return pairs
 
 
+def _distinct_pairs(a: np.ndarray, b: np.ndarray) -> pa.Table:
+    """Sorted distinct ``(doc_a, doc_b)`` rows of two id arrays."""
+    order, starts, _ = sorted_runs(a, b)
+    keep = order[starts]
+    return pa.table({
+        "doc_a": pa.array(a[keep], pa.int64()),
+        "doc_b": pa.array(b[keep], pa.int64()),
+    })
+
+
 def _minhash_pipeline(
     docs: ray.data.Dataset,
     num_perm: int,
@@ -532,13 +534,9 @@ def _minhash_pipeline(
         )
 
     def add_part(batch: pa.Table) -> pa.Table:
-        k = batch["band_key"].to_numpy().astype(np.uint64)
-        part = (
-            (k * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52)
-        ) % np.uint64(P)
+        part = fib_bucket(batch["band_key"].to_numpy(), P)
         return batch.append_column(
-            "band_part", pa.array(part.astype(np.int32), pa.int32())
-        )
+            "band_part", pa.array(part, pa.int32()))
 
     keyed = keyed.map_batches(add_part, batch_format="pyarrow")
     if collapse:
@@ -568,22 +566,12 @@ def _minhash_pipeline(
             # representative
             sk = part["set_key"].to_numpy(zero_copy_only=False).astype(
                 np.uint64)
-            order = np.lexsort((di, sk, bk))
-            bk, sk, di = bk[order], sk[order], di[order]
-            first = np.empty(len(bk), dtype=bool)
-            first[0] = True
-            np.logical_or(
-                bk[1:] != bk[:-1], sk[1:] != sk[:-1], out=first[1:])
+            order, first, _ = sorted_runs(bk, sk, di, run_keys=2)
         else:
-            order = np.lexsort((di, bk))
-            bk, di = bk[order], di[order]
-            first = np.empty(len(bk), dtype=bool)
-            first[0] = True
-            np.logical_or(
-                bk[1:] != bk[:-1], di[1:] != di[:-1], out=first[1:])
-        rb, rd = bk[first], di[first]  # per-bucket distinct members
-        starts = np.flatnonzero(np.r_[True, rb[1:] != rb[:-1]])
-        counts = np.diff(np.r_[starts, len(rb)])
+            order, first, _ = sorted_runs(bk, di)
+        # per-bucket distinct members
+        rb, rd = bk[order][first], di[order][first]
+        _, starts, counts = sorted_runs(rb)
         out_a, out_b = [], []
         budget = max_pairs_per_task
         for s, c in zip(starts[counts >= 2], counts[counts >= 2]):
@@ -605,17 +593,7 @@ def _minhash_pipeline(
             out_b.append(ids[b])
         if not out_a:
             return _EMPTY_PAIRS
-        A = np.concatenate(out_a)
-        B = np.concatenate(out_b)
-        o = np.lexsort((B, A))
-        A, B = A[o], B[o]
-        keep = np.empty(len(A), dtype=bool)
-        keep[0] = True
-        np.logical_or(A[1:] != A[:-1], B[1:] != B[:-1], out=keep[1:])
-        return pa.table({
-            "doc_a": pa.array(A[keep], pa.int64()),
-            "doc_b": pa.array(B[keep], pa.int64()),
-        })
+        return _distinct_pairs(np.concatenate(out_a), np.concatenate(out_b))
 
     candidates = keyed.groupby("band_part").map_groups(
         partition_pairs, batch_format="pyarrow"
@@ -630,7 +608,7 @@ def _minhash_pipeline(
 
         def add_set_part(batch: pa.Table) -> pa.Table:
             sk = batch["set_key"].to_numpy().astype(np.uint64)
-            part = (_mix64(sk) % np.uint64(P)).astype(np.int32)
+            part = (splitmix64(sk) % np.uint64(P)).astype(np.int32)
             return batch.append_column("set_part", pa.array(part, pa.int32()))
 
         def members_partition(g: pa.Table) -> pa.Table:
@@ -641,15 +619,10 @@ def _minhash_pipeline(
             di = g["doc_id"].to_numpy(zero_copy_only=False)
             if not len(sk):
                 return _EMPTY_PAIRS
-            order = np.lexsort((di, sk))
-            sk, di = sk[order], di[order]
-            first = np.empty(len(sk), dtype=bool)
-            first[0] = True
-            np.logical_or(
-                sk[1:] != sk[:-1], di[1:] != di[:-1], out=first[1:])
-            sk, di = sk[first], di[first]  # distinct, di asc per family
-            starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-            counts = np.diff(np.r_[starts, len(sk)])
+            order, first, _ = sorted_runs(sk, di)
+            # distinct, di asc per family
+            sk, di = sk[order][first], di[order][first]
+            _, starts, counts = sorted_runs(sk)
             reps = np.repeat(di[starts], counts - 1)
             member_mask = np.ones(len(di), dtype=bool)
             member_mask[starts] = False
@@ -718,25 +691,16 @@ def _minhash_pipeline(
         b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(
             np.uint64)
         part = (
-            _mix64(a * np.uint64(3) + b) % np.uint64(P)
+            splitmix64(a * np.uint64(3) + b) % np.uint64(P)
         ).astype(np.int32)
         return batch.append_column(
             "pair_part", pa.array(part, pa.int32()))
 
     def dedup_pairs(g: pa.Table) -> pa.Table:
-        A = g["doc_a"].to_numpy(zero_copy_only=False)
-        B = g["doc_b"].to_numpy(zero_copy_only=False)
-        if not len(A):
-            return _EMPTY_PAIRS
-        o = np.lexsort((B, A))
-        A, B = A[o], B[o]
-        keep = np.empty(len(A), dtype=bool)
-        keep[0] = True
-        np.logical_or(A[1:] != A[:-1], B[1:] != B[:-1], out=keep[1:])
-        return pa.table({
-            "doc_a": pa.array(A[keep], pa.int64()),
-            "doc_b": pa.array(B[keep], pa.int64()),
-        })
+        return _distinct_pairs(
+            g["doc_a"].to_numpy(zero_copy_only=False),
+            g["doc_b"].to_numpy(zero_copy_only=False),
+        )
 
     distinct_pairs = (
         candidates.map_batches(
@@ -851,53 +815,6 @@ def _minhash_pipeline(
         verify_joined, batch_format="pyarrow"), member_edges
 
 
-def _stream_int_union_find(
-    edge_datasets: list[ray.data.Dataset],
-    cols: tuple[str, str] = ("doc_a", "doc_b"),
-) -> pa.Table:
-    """Streamed driver union-find over int-keyed edge datasets:
-    ``iter_batches`` feeds edges straight into the union-find — no
-    full pair-table ``to_pandas`` — so driver memory is O(nodes)
-    (near-dup-bounded), not O(pairs).  Returns (doc_id, cluster_id)
-    with ``cluster_id`` = the smallest member doc_id, the canonical
-    label a SQL connected-components oracle (recursive CTE min-label
-    closure) reproduces exactly."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:  # path compression
-            parent[x], x = root, parent[x]
-        return root
-
-    for ds in edge_datasets:
-        if ds is None:
-            continue
-        for batch in ds.iter_batches(
-            batch_format="pyarrow", batch_size=65536
-        ):
-            for a, b in zip(
-                batch[cols[0]].to_pylist(), batch[cols[1]].to_pylist()
-            ):
-                parent.setdefault(a, a)
-                parent.setdefault(b, b)
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    # union by min keeps labels canonical as we go
-                    if rb < ra:
-                        ra, rb = rb, ra
-                    parent[rb] = ra
-    ids = sorted(parent)
-    return pa.table(
-        {
-            "doc_id": pa.array(ids, pa.int64()),
-            "cluster_id": pa.array([find(i) for i in ids], pa.int64()),
-        }
-    )
-
-
 def minhash_dedup_clusters(
     docs: ray.data.Dataset,
     num_perm: int = 128,
@@ -924,7 +841,7 @@ def minhash_dedup_clusters(
         threshold=threshold, concurrency=concurrency, collapse=True,
         max_pairs_per_task=max_pairs_per_task,
     )
-    return _stream_int_union_find([pairs, member_edges])
+    return stream_min_labels([pairs, member_edges])
 
 
 class WinnowFingerprints:
@@ -973,7 +890,7 @@ class WinnowFingerprints:
         acc = np.zeros(n_grams, dtype=np.uint64)
         for off in range(self.k):
             acc = acc * B + codes[off : n_grams + off]
-        return _mix64(acc)
+        return splitmix64(acc)
 
     def _fingerprints(self, text: str) -> np.ndarray:
         w = self.w
@@ -1054,13 +971,8 @@ def substring_dup_pairs(
         )
 
     def add_part(batch: pa.Table) -> pa.Table:
-        hv = batch["h"].to_numpy().astype(np.uint64)
-        part = (
-            (hv * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52)
-        ) % np.uint64(P)
-        return batch.append_column(
-            "hp", pa.array(part.astype(np.int32), pa.int32())
-        )
+        part = fib_bucket(batch["h"].to_numpy(), P)
+        return batch.append_column("hp", pa.array(part, pa.int32()))
 
     def pair_partition(g: pd.DataFrame) -> pd.DataFrame:
         out_a, out_b = [], []
@@ -1070,15 +982,10 @@ def substring_dup_pairs(
         h = g["h"].to_numpy()
         di = g["doc_id"].to_numpy()
         if len(h):
-            order = np.lexsort((di, h))
-            h, di = h[order], di[order]
-            first = np.empty(len(h), dtype=bool)
-            first[0] = True
-            np.logical_or(h[1:] != h[:-1], di[1:] != di[:-1],
-                          out=first[1:])
-            hh, dd = h[first], di[first]  # distinct, di asc per hash
-            starts = np.flatnonzero(np.r_[True, hh[1:] != hh[:-1]])
-            counts = np.diff(np.r_[starts, len(hh)])
+            order, first, _ = sorted_runs(h, di)
+            # distinct, di asc per hash
+            hh, dd = h[order][first], di[order][first]
+            _, starts, counts = sorted_runs(hh)
             ok = (counts >= 2) & (counts <= max_df)
             for s, c in zip(starts[ok], counts[ok]):
                 ids = dd[s:s + c]
@@ -1110,11 +1017,8 @@ def substring_dup_pairs(
     )
 
     def add_pp(batch: pa.Table) -> pa.Table:
-        a = batch["doc_a"].to_numpy().astype(np.uint64)
-        part = ((a * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52)) % np.uint64(P)
-        return batch.append_column(
-            "pp", pa.array(part.astype(np.int32), pa.int32())
-        )
+        part = fib_bucket(batch["doc_a"].to_numpy(), P)
+        return batch.append_column("pp", pa.array(part, pa.int32()))
 
     def merge_pairs(g: pd.DataFrame) -> pd.DataFrame:
         return (
@@ -1876,7 +1780,7 @@ def _char_window_hashes(text: str, L: int) -> np.ndarray:
         acc = np.zeros(n, dtype=np.uint64)
         for off in range(L):
             acc = acc * B + codes[off : n + off]
-        return _mix64(acc)
+        return splitmix64(acc)
     m = len(codes)
     binv = np.uint64(pow(0x100000001B3, -1, 1 << 64))
     invpow = np.ones(m, dtype=np.uint64)
@@ -1888,7 +1792,7 @@ def _char_window_hashes(text: str, L: int) -> np.ndarray:
         np.cumprod(np.full(n - 1, B, dtype=np.uint64), out=bpow[1:])
     scale = np.uint64(pow(0x100000001B3, L - 1, 1 << 64))
     acc = (s[L : L + n] - s[:n]) * (bpow * scale)
-    return _mix64(acc)
+    return splitmix64(acc)
 
 
 def _dup_window_broadcast(src: ray.data.Dataset, min_len: int,
@@ -1920,23 +1824,18 @@ def _dup_window_broadcast(src: ray.data.Dataset, min_len: int,
             np.concatenate(hs) if hs else np.empty(0, dtype=np.uint64)
         )
         h, c = np.unique(allh, return_counts=True)
-        hp = (
-            ((h * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52))
-            % np.uint64(P)
-        ).astype(np.int32)
-        order = np.argsort(hp, kind="stable")
-        h_s, c_s, hp_s = h[order], c[order], hp[order]
-        uniq, starts = np.unique(hp_s, return_index=True)
-        ends = np.append(starts[1:], len(hp_s))
+        hp = fib_bucket(h, P)
+        order, starts, counts = sorted_runs(hp)
+        h_s, c_s = h[order], c[order]
         ones, mult = [], []
-        for s0, e0 in zip(starts, ends):
+        for s0, e0 in zip(starts, starts + counts):
             single = c_s[s0:e0] == 1
             seg = h_s[s0:e0]
             ones.append(seg[single].tobytes())
             mult.append(seg[~single].tobytes())
         return pa.table(
             {
-                "hp": pa.array(uniq, pa.int32()),
+                "hp": pa.array(hp[order][starts], pa.int32()),
                 "ones": pa.array(ones, pa.large_binary()),
                 "mult": pa.array(mult, pa.large_binary()),
             }
@@ -2175,9 +2074,10 @@ def segment_dedup(
     ``searchsorted`` per doc.  Content never shuffles; the input graph
     executes twice (both passes need it), like exact_dup_spans."""
     ensure_worker_importable()
-    from clonebas_ray.ops.relational import auto_partitions
+    from clonebas_ray.ops.relational import (
+        dup_winner_broadcast, dup_winner_keep,
+    )
 
-    P = auto_partitions()
     src = docs.select_columns([id_col, text_col])
     id_type = pa.int64()
 
@@ -2194,121 +2094,29 @@ def segment_dedup(
             dtype=np.uint64, count=len(segs),
         )
 
-    _PARTIAL_SCHEMA = pa.schema(
-        [("hp", pa.int32()), ("h", pa.uint64()), ("d", pa.int64()),
-         ("i", pa.int64()), ("c", pa.int64())]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hs, ds, is_ = [], [], []
+    def occurrences(batch: pa.Table) -> tuple[np.ndarray, ...]:
+        # one (hash, doc_id, idx) occurrence per segment
+        segs = [_doc_segments(t) for t in batch[text_col].to_pylist()]
+        n = np.fromiter(map(len, segs), np.int64, len(segs))
+        flat = [s for doc in segs for s in doc]
+        idx = np.arange(1, len(flat) + 1) - np.repeat(np.cumsum(n) - n, n)
         ids = batch[id_col].to_numpy(zero_copy_only=False)
-        for did, t in zip(ids, batch[text_col].to_pylist()):
-            segs = _doc_segments(t)
-            if not segs:
-                continue
-            hs.append(_seg_hashes(segs))
-            ds.append(np.full(len(segs), did, np.int64))
-            is_.append(np.arange(1, len(segs) + 1, dtype=np.int64))
-        if not hs:
-            return _PARTIAL_SCHEMA.empty_table()
-        h = np.concatenate(hs)
-        d = np.concatenate(ds)
-        i = np.concatenate(is_)
-        # block-local collapse: one row per distinct hash carrying the
-        # local min (doc_id, idx) + count, so repeated boilerplate
-        # segments shrink before the shuffle
-        order = np.lexsort((i, d, h))
-        h, d, i = h[order], d[order], i[order]
-        uh, starts, counts = np.unique(
-            h, return_index=True, return_counts=True
-        )
-        hp = (
-            ((uh * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52))
-            % np.uint64(P)
-        ).astype(np.int32)
-        return pa.table(
-            {
-                "hp": pa.array(hp, pa.int32()),
-                "h": pa.array(uh, pa.uint64()),
-                "d": pa.array(d[starts], pa.int64()),
-                "i": pa.array(i[starts], pa.int64()),
-                "c": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
+        return _seg_hashes(flat), np.repeat(ids, n).astype(np.int64), idx
 
-    def dup_winners(g: pa.Table) -> pa.Table:
-        # equal hashes never split across partitions: the per-hash
-        # count sum is global, and the lexsort-first row is the global
-        # min (doc_id, idx) winner
-        h = g["h"].to_numpy(zero_copy_only=False)
-        d = g["d"].to_numpy(zero_copy_only=False)
-        i = g["i"].to_numpy(zero_copy_only=False)
-        c = g["c"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((i, d, h))
-        h, d, i, c = h[order], d[order], i[order], c[order]
-        uh, starts = np.unique(h, return_index=True)
-        tot = np.add.reduceat(c, starts) if len(c) else c
-        dupm = tot >= 2
-        return pa.table(
-            {
-                "h": pa.array(uh[dupm], pa.uint64()),
-                "win_d": pa.array(d[starts][dupm], pa.int64()),
-                "win_i": pa.array(i[starts][dupm], pa.int64()),
-            }
-        )
-
-    dup = (
-        src.map_batches(partial, batch_format="pyarrow", batch_size=None)
-        .groupby("hp")
-        .map_groups(dup_winners, batch_format="pyarrow")
-    )
-    wh_parts, wd_parts, wi_parts = [], [], []
-    for b in dup.iter_batches(batch_format="pyarrow", batch_size=None):
-        wh_parts.append(b["h"].to_numpy(zero_copy_only=False))
-        wd_parts.append(b["win_d"].to_numpy(zero_copy_only=False))
-        wi_parts.append(b["win_i"].to_numpy(zero_copy_only=False))
-    wh = (
-        np.concatenate(wh_parts) if wh_parts else np.empty(0, np.uint64)
-    )
-    wd = (
-        np.concatenate(wd_parts) if wd_parts else np.empty(0, np.int64)
-    )
-    wi = (
-        np.concatenate(wi_parts) if wi_parts else np.empty(0, np.int64)
-    )
-    order = np.argsort(wh)
-    win_ref = ray.put(
-        (
-            np.ascontiguousarray(wh[order]),
-            np.ascontiguousarray(wd[order]),
-            np.ascontiguousarray(wi[order]),
-        )
-    )
+    # winners tie-break on (doc_id, idx): the global first occurrence
+    win_ref = dup_winner_broadcast(src, occurrences, n_ties=2)
 
     def rebuild(batch: pa.Table) -> pa.Table:
-        wh, wd, wi = ray.get(win_ref)
+        win = ray.get(win_ref)
         out_id, out_n, out_k, out_t = [], [], [], []
         ids = batch[id_col].to_numpy(zero_copy_only=False)
         for did, t in zip(ids, batch[text_col].to_pylist()):
             segs = _doc_segments(t)
             n = len(segs)
-            if n == 0:
-                out_id.append(did)
-                out_n.append(0)
-                out_k.append(0)
-                out_t.append("")
-                continue
-            h = _seg_hashes(segs)
-            if len(wh):
-                pos = np.searchsorted(wh, h)
-                pos[pos == len(wh)] = len(wh) - 1
-                isdup = wh[pos] == h
-                keep = ~isdup | (
-                    (wd[pos] == did)
-                    & (wi[pos] == np.arange(1, n + 1, dtype=np.int64))
-                )
-            else:
-                keep = np.ones(n, dtype=bool)
+            keep = dup_winner_keep(
+                win, _seg_hashes(segs), did,
+                np.arange(1, n + 1, dtype=np.int64),
+            )
             kept = [s for s, k in zip(segs, keep) if k]
             out_id.append(did)
             out_n.append(n)
@@ -2392,7 +2200,7 @@ def cross_source_overlap(
         blobs: list[bytes] = []
         for s, arrs in per_src.items():
             u = np.unique(np.concatenate(arrs))
-            bk = (_mix64(u) % np.uint64(P)).astype(np.int32)
+            bk = (splitmix64(u) % np.uint64(P)).astype(np.int32)
             for b in np.unique(bk):
                 buckets.append(int(b))
                 srcs.append(s)

@@ -55,6 +55,7 @@ from clonebas_ray.ops.code_corpus import (
     SecretScan,
     _StripComments,
 )
+from clonebas_ray.ops.relational import keep_first_occurrence
 
 
 def _ids(repo: pa.ChunkedArray, path: pa.ChunkedArray) -> pa.Array:
@@ -139,90 +140,6 @@ def _normed_stage(
     )
 
 
-def _exact_survivors(normed: ray.data.Dataset) -> ray.data.Dataset:
-    """Stage 2: comment-invariant exact dedup via the dup-winner
-    broadcast (block-distinct partials → one bounded shuffle → winner
-    set, bounded by DUPLICATED norms).  ``normed`` must be
-    re-consumable (materialized or checkpoint-backed): it is read once
-    for the partials and once for the filter."""
-    from clonebas_ray.ops.relational import auto_partitions
-
-    P = auto_partitions()
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        h = np.fromiter(
-            (md5_low64(t.encode("utf-8", "surrogatepass"))
-             for t in batch["norm"].to_pylist()),
-            dtype=np.uint64, count=batch.num_rows,
-        )
-        order = np.lexsort((ids, h))
-        h_s, id_s = h[order], ids[order]
-        uh, starts, counts = np.unique(
-            h_s, return_index=True, return_counts=True)
-        hp = (
-            ((uh * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52))
-            % np.uint64(P)
-        ).astype(np.int32)
-        return pa.table({
-            "hp": pa.array(hp, pa.int32()),
-            "h": pa.array(uh, pa.uint64()),
-            "d": pa.array(id_s[starts], pa.int64()),
-            "c": pa.array(counts.astype(np.int64), pa.int64()),
-        })
-
-    def dup_winners(g: pa.Table) -> pa.Table:
-        h = g["h"].to_numpy(zero_copy_only=False)
-        d = g["d"].to_numpy(zero_copy_only=False)
-        c = g["c"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, h))
-        h, d, c = h[order], d[order], c[order]
-        uh, starts = np.unique(h, return_index=True)
-        tot = np.add.reduceat(c, starts) if len(c) else c
-        dupm = tot >= 2
-        return pa.table({
-            "h": pa.array(uh[dupm], pa.uint64()),
-            "win": pa.array(d[starts][dupm], pa.int64()),
-        })
-
-    dup = (
-        normed.map_batches(partial, batch_format="pyarrow",
-                           batch_size=None)
-        .groupby("hp")
-        .map_groups(dup_winners, batch_format="pyarrow")
-    )
-    wh_parts, ww_parts = [], []
-    for b in dup.iter_batches(batch_format="pyarrow", batch_size=None):
-        wh_parts.append(b["h"].to_numpy(zero_copy_only=False))
-        ww_parts.append(b["win"].to_numpy(zero_copy_only=False))
-    wh = np.concatenate(wh_parts) if wh_parts else np.empty(0, np.uint64)
-    ww = np.concatenate(ww_parts) if ww_parts else np.empty(0, np.int64)
-    order = np.argsort(wh)
-    win_ref = ray.put(
-        (np.ascontiguousarray(wh[order]), np.ascontiguousarray(ww[order]))
-    )
-
-    def keep_reps(batch: pa.Table) -> pa.Table:
-        wh, ww = ray.get(win_ref)
-        if not len(wh):
-            return batch
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        h = np.fromiter(
-            (md5_low64(t.encode("utf-8", "surrogatepass"))
-             for t in batch["norm"].to_pylist()),
-            dtype=np.uint64, count=batch.num_rows,
-        )
-        pos = np.searchsorted(wh, h)
-        pos[pos == len(wh)] = len(wh) - 1
-        isdup = wh[pos] == h
-        keep = ~isdup | (ww[pos] == ids)
-        return batch.filter(pa.array(keep))
-
-    return normed.map_batches(
-        keep_reps, batch_format="pyarrow", batch_size=None
-    )
-
-
 def _neardup_survivors(
     kept2: ray.data.Dataset,
     threshold: float,
@@ -283,7 +200,7 @@ def code_clean(
     ensure_worker_importable()
     normed = _normed_stage(
         ds, drop_licenses, content_col, lang_col).materialize()
-    kept2 = _exact_survivors(normed).materialize()
+    kept2 = keep_first_occurrence(normed, "doc_id", "norm").materialize()
     return _neardup_survivors(
         kept2, threshold, num_perm, shingle_k, n_bands)
 
@@ -377,7 +294,7 @@ def run_code_clean(
     )
     kept2, r2 = timed(
         "exact_survivors", key_exact,
-        lambda: _exact_survivors(normed),
+        lambda: keep_first_occurrence(normed, "doc_id", "norm"),
         resume=resume, empty_schema=_NORMED_SCHEMA,
     )
     clean, r3 = timed(

@@ -35,6 +35,7 @@ import pyarrow as pa
 import ray.data
 
 from clonebas_ray.config import PipelineConfig, DEFAULT_CONFIG
+from clonebas_ray.functions.kernels import union_find
 from clonebas_ray.stages.ingest import read_files, prepare_stage
 from clonebas_ray.stages.fingerprint import fingerprint_stage
 from clonebas_ray.stages.candidates import (
@@ -67,7 +68,6 @@ def run_dedup_pipeline(
     concurrency: int | tuple[int, int] | None = None,
     checkpoint: bool = True,
     score_report: bool = False,
-    parse_distinct: bool | None = None,
 ) -> DedupResult:
     """``score_report=True`` adds the reference's per-run corpus
     quality score (A4, ``ScoreController``) to the run metrics: a
@@ -82,37 +82,14 @@ def run_dedup_pipeline(
     cfg_hash = config.config_hash()
 
     # --- fingerprints ------------------------------------------------
-    # parse-distinct: parse each (sha, lang) once and map sigs back —
-    # identical output (pytest-pinned), ~1/dup-factor parse CPU.
-    # Default OFF: on the 1.6 KB-file bench corpus (dup 4.8x) the
-    # dedup shuffle + rejoin overhead slightly exceeds the ~120 CPU-s
-    # of parse saved at 32 cores (A/B in BASELINE.md), because the
-    # single-box wall is latency- not CPU-bound there.  Turn it on
-    # when parse CPU is the scarce resource — larger files (parse
-    # cost ~0.25 s/MB/core vs ~10 ms/MB to shuffle) or higher dup
-    # factors.  Unavailable under checkpointing (cross-shard dedup
-    # would break per-shard cache independence) and in block mode.
-    if parse_distinct is None:
-        parse_distinct = False
-    parse_distinct = parse_distinct and not checkpoint \
-        and not config.block_mode
-    metrics["parse_distinct"] = parse_distinct
-
     def build_fingerprints() -> ray.data.Dataset:
-        from clonebas_ray.stages.fingerprint import (
-            fingerprint_distinct_stage,
-        )
         from clonebas_ray.stages.ingest import read_split_blocks
 
         ds = read_files(
             input_path, override_num_blocks=read_split_blocks()
         )
         ds = prepare_stage(ds)
-        stage = (
-            fingerprint_distinct_stage if parse_distinct
-            else fingerprint_stage
-        )
-        return stage(ds, config, concurrency=concurrency)
+        return fingerprint_stage(ds, config, concurrency=concurrency)
 
     t0 = time.perf_counter()
     if checkpoint:
@@ -338,6 +315,10 @@ def run_dedup_pipeline(
     return DedupResult(fingerprints, edges, clusters, cluster_stats, metrics)
 
 
+#: concurrent shard fingerprint pipelines in a checkpointed run
+_SHARD_PARALLEL = 4
+
+
 def _sharded_fingerprints(
     input_path, run_dir: str, config: PipelineConfig, resume: bool,
     concurrency,
@@ -345,8 +326,8 @@ def _sharded_fingerprints(
     """Per-partition fingerprint checkpointing: every input shard's
     output is written and manifested independently, so a killed run
     resumes computing ONLY the missing shards (north rule:
-    per-partition lineage).  Up to ``GRAFT_SHARD_PARALLEL`` (default
-    4) shard pipelines run CONCURRENTLY from worker threads — each is
+    per-partition lineage).  Up to ``_SHARD_PARALLEL`` shard pipelines
+    run CONCURRENTLY from worker threads — each is
     an independent Ray Data job sharing the cluster, with the
     fingerprint actor pool divided between them — so many-small-shard
     corpora don't pay a serial per-shard pipeline-startup tax.  Each
@@ -387,7 +368,7 @@ def _sharded_fingerprints(
     # (oversubscribing a small cluster just stalls every pipeline)
     total = int(ray.cluster_resources().get("CPU", 4))
     workers = max(1, min(
-        int(os.environ.get("GRAFT_SHARD_PARALLEL", "4")),
+        _SHARD_PARALLEL,
         len(todo) or 1,
         max(1, (total - 2) // 2),
     ))
@@ -802,37 +783,23 @@ def _refine_block_assignments(
 
     # --- componentize: union within each tier cluster + along the
     # parent-child mark links, then replay each component on its own
-    comp_parent = list(range(n))
-
-    def cfind(x: int) -> int:
-        root = x
-        while comp_parent[root] != root:
-            root = comp_parent[root]
-        while comp_parent[x] != root:
-            comp_parent[x], x = root, comp_parent[x]
-        return root
-
-    def cunion(a: int, b: int) -> None:
-        ra, rb = cfind(a), cfind(b)
-        if ra != rb:
-            comp_parent[max(ra, rb)] = min(ra, rb)
-
+    link_a: list[int] = []
+    link_b: list[int] = []
     for assign in (high_assignment, normal_assignment or {}):
         first_of_cid: dict[int, int] = {}
         for u, cid in assign.items():
             i = idx_of.get(u)
-            if i is None:
-                continue
-            f = first_of_cid.setdefault(cid, i)
-            if f != i:
-                cunion(f, i)
+            if i is not None:
+                link_a.append(first_of_cid.setdefault(cid, i))
+                link_b.append(i)
     for p, kids in children.items():
-        for c in kids:
-            cunion(p, c)
+        link_a.extend([p] * len(kids))
+        link_b.extend(kids)
+    roots = union_find([(link_a, link_b)])
 
     comps: dict[int, list[int]] = {}
     for i in range(n):
-        comps.setdefault(cfind(i), []).append(i)
+        comps.setdefault(roots.get(i, i), []).append(i)
 
     def build_local(idxs: list[int]) -> list[OracleFingerprint]:
         # units are in canonical global order; a component's replay in

@@ -29,14 +29,13 @@ every exchange carries hashes, winners, or flags.
 
 from __future__ import annotations
 
-import numpy as np
 import pyarrow as pa
 
 import ray
 import ray.data
 
 from clonebas_ray.bootstrap import ensure_worker_importable
-from clonebas_ray.functions.murmur3 import md5_low64
+from clonebas_ray.ops.relational import keep_first_occurrence
 from clonebas_ray.ops.text_analysis import CorpusFilter
 from clonebas_ray.ops.text_dedup import cut_dup_spans
 
@@ -75,95 +74,6 @@ def _filtered_stage(
     )
 
 
-def _exact_survivor_stage(
-    kept1: ray.data.Dataset, id_col: str, text_col: str
-) -> ray.data.Dataset:
-    """Stage 2: exact dedup via the dup-winner broadcast.  ``kept1``
-    must be re-consumable (materialized or checkpoint-backed): it is
-    read once for the partials and once for the filter."""
-    from clonebas_ray.ops.relational import auto_partitions
-
-    P = auto_partitions()
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        h = np.fromiter(
-            (md5_low64(t.encode("utf-8", "surrogatepass"))
-             for t in batch[text_col].to_pylist()),
-            dtype=np.uint64, count=batch.num_rows,
-        )
-        order = np.lexsort((ids, h))
-        h_s, id_s = h[order], ids[order]
-        uh, starts, counts = np.unique(
-            h_s, return_index=True, return_counts=True
-        )
-        hp = (
-            ((uh * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(52))
-            % np.uint64(P)
-        ).astype(np.int32)
-        return pa.table(
-            {
-                "hp": pa.array(hp, pa.int32()),
-                "h": pa.array(uh, pa.uint64()),
-                "d": pa.array(id_s[starts], pa.int64()),
-                "c": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def dup_winners(g: pa.Table) -> pa.Table:
-        h = g["h"].to_numpy(zero_copy_only=False)
-        d = g["d"].to_numpy(zero_copy_only=False)
-        c = g["c"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((d, h))
-        h, d, c = h[order], d[order], c[order]
-        uh, starts = np.unique(h, return_index=True)
-        tot = np.add.reduceat(c, starts) if len(c) else c
-        dupm = tot >= 2
-        return pa.table(
-            {
-                "h": pa.array(uh[dupm], pa.uint64()),
-                "win": pa.array(d[starts][dupm], pa.int64()),
-            }
-        )
-
-    dup = (
-        kept1.map_batches(partial, batch_format="pyarrow",
-                          batch_size=None)
-        .groupby("hp")
-        .map_groups(dup_winners, batch_format="pyarrow")
-    )
-    wh_parts, ww_parts = [], []
-    for b in dup.iter_batches(batch_format="pyarrow", batch_size=None):
-        wh_parts.append(b["h"].to_numpy(zero_copy_only=False))
-        ww_parts.append(b["win"].to_numpy(zero_copy_only=False))
-    wh = np.concatenate(wh_parts) if wh_parts else np.empty(0, np.uint64)
-    ww = np.concatenate(ww_parts) if ww_parts else np.empty(0, np.int64)
-    order = np.argsort(wh)
-    win_ref = ray.put(
-        (np.ascontiguousarray(wh[order]), np.ascontiguousarray(ww[order]))
-    )
-
-    def keep_reps(batch: pa.Table) -> pa.Table:
-        wh, ww = ray.get(win_ref)
-        if not len(wh):
-            return batch
-        ids = batch[id_col].to_numpy(zero_copy_only=False)
-        h = np.fromiter(
-            (md5_low64(t.encode("utf-8", "surrogatepass"))
-             for t in batch[text_col].to_pylist()),
-            dtype=np.uint64, count=batch.num_rows,
-        )
-        pos = np.searchsorted(wh, h)
-        pos[pos == len(wh)] = len(wh) - 1
-        isdup = wh[pos] == h
-        keep = ~isdup | (ww[pos] == ids)
-        return batch.filter(pa.array(keep))
-
-    return kept1.map_batches(
-        keep_reps, batch_format="pyarrow", batch_size=None
-    )
-
-
 def pretrain_clean(
     docs: ray.data.Dataset,
     min_len: int = 25,
@@ -179,7 +89,7 @@ def pretrain_clean(
     kept1 = _filtered_stage(
         src, id_col, text_col, filter_kwargs, concurrency
     ).materialize()
-    kept2 = _exact_survivor_stage(kept1, id_col, text_col).materialize()
+    kept2 = keep_first_occurrence(kept1, id_col, text_col).materialize()
     return cut_dup_spans(
         kept2, min_len=min_len, text_col=text_col, id_col=id_col
     )
@@ -264,7 +174,7 @@ def run_pretrain_clean(
     )
     kept2, r2 = timed(
         "exact_survivors", key_exact,
-        lambda: _exact_survivor_stage(kept1, id_col, text_col),
+        lambda: keep_first_occurrence(kept1, id_col, text_col),
         resume=resume, empty_schema=doc_schema,
     )
     clean, r3 = timed(

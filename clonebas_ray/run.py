@@ -41,10 +41,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--clean-min-len", type=int, default=25,
                    help="duplicated-span cut length for "
                         "--pretrain-clean")
-    p.add_argument("--parse-distinct", action="store_true",
-                   help="parse each distinct (sha, lang) once and map "
-                        "signatures back (needs --no-checkpoint; wins "
-                        "when parse CPU is scarce — see BASELINE.md)")
     p.add_argument("--score", action="store_true",
                    help="add the A4 corpus quality score to the report "
                         "(second content pass)")
@@ -163,7 +159,6 @@ def main(argv: list[str] | None = None) -> int:
                 args.input, args.run_dir, config=config,
                 resume=not args.no_resume, score_report=args.score,
                 checkpoint=not args.no_checkpoint,
-                parse_distinct=args.parse_distinct or None,
             ).metrics
     finally:
         ray.shutdown()

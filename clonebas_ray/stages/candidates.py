@@ -48,6 +48,7 @@ import pyarrow as pa
 import ray.data
 
 from clonebas_ray.config import PipelineConfig, DEFAULT_CONFIG, VEC_LEN
+from clonebas_ray.functions.kernels import run_starts, sorted_runs, splitmix64
 from clonebas_ray.functions.simhash import band_keys, hamming_pairs
 
 #: pairing tile edge — bounds per-task memory at tile^2 cells
@@ -60,18 +61,6 @@ _EMPTY_EDGES = pd.DataFrame(
         "hamming": pd.Series(dtype="int32"),
     }
 )
-
-
-def _splitmix64(x: np.ndarray) -> np.ndarray:
-    """Bit mixer so modulo partitioning is uniform even on structured
-    keys (band values are low-entropy bit slices)."""
-    z = (x + np.uint64(0x9E3779B97F4A7C15)).astype(np.uint64)
-    z ^= z >> np.uint64(30)
-    z = (z * np.uint64(0xBF58476D1CE4E5B9)).astype(np.uint64)
-    z ^= z >> np.uint64(27)
-    z = (z * np.uint64(0x94D049BB133111EB)).astype(np.uint64)
-    z ^= z >> np.uint64(31)
-    return z
 
 
 def sig_groups(fingerprints: ray.data.Dataset,
@@ -97,9 +86,9 @@ def sig_groups(fingerprints: ray.data.Dataset,
         # per-group python in the hot path
         df = batch.to_pandas()
         df = df.drop_duplicates(["sig_hi", "sig_lo", "sha"])
-        part = _splitmix64(
+        part = splitmix64(
             df["sig_hi"].to_numpy(np.uint64)
-            ^ _splitmix64(df["sig_lo"].to_numpy(np.uint64))
+            ^ splitmix64(df["sig_lo"].to_numpy(np.uint64))
         ) % np.uint64(P)
         df = df.assign(sig_part=part.astype(np.int32))
         return pa.Table.from_pandas(
@@ -123,19 +112,13 @@ def sig_groups(fingerprints: ray.data.Dataset,
         lo = part["sig_lo"].to_numpy(np.uint64)
         sha = part["sha"].to_numpy()
         tok = part["token_num"].to_numpy(np.int64)
-        order = np.lexsort((sha, lo, hi))
+        order, starts, _ = sorted_runs(hi, lo, sha, run_keys=2)
         hi, lo, sha, tok = hi[order], lo[order], sha[order], tok[order]
-        new_grp = np.empty(len(hi), dtype=bool)
-        new_grp[0] = True
-        new_grp[1:] = (hi[1:] != hi[:-1]) | (lo[1:] != lo[:-1])
-        starts = np.flatnonzero(new_grp)
         # distinct (sig, sha) rows: the same pair can arrive from
         # several input batches, so count DISTINCT shas per sig —
         # deterministic regardless of batch layout
-        dup_sha = np.empty(len(hi), dtype=bool)
-        dup_sha[0] = False
-        dup_sha[1:] = (~new_grp[1:]) & (sha[1:] == sha[:-1])
-        distinct = (~dup_sha).astype(np.int64)
+        distinct = np.zeros(len(hi), dtype=np.int64)
+        distinct[run_starts(hi, lo, sha)] = 1
         return pd.DataFrame(
             {
                 "sig_hi": hi[starts],
@@ -168,7 +151,7 @@ def expand_bands(
     verification discards) and hash-partitioned on ``band_part``."""
     n_bands = config.n_bands
     P = config.resolve_pair_partitions()
-    salts = (_splitmix64(
+    salts = (splitmix64(
         np.arange(1, n_bands + 1, dtype=np.uint64) * np.uint64(0xA5A5A5A5A5A5A5A5)
     ))
 
@@ -178,7 +161,7 @@ def expand_bands(
         n = len(hi)
         keys = band_keys(hi, lo, n_bands)  # (n, n_bands)
         band_idx = np.tile(np.arange(n_bands, dtype=np.uint64), n)
-        mixed = _splitmix64(keys.reshape(-1)) ^ np.tile(salts, n)
+        mixed = splitmix64(keys.reshape(-1)) ^ np.tile(salts, n)
         rep = np.repeat(np.arange(n), n_bands)
         return pa.table(
             {
@@ -275,22 +258,17 @@ def candidate_edges(
         # — the per-tiny-group pandas tax measured 20x on the minhash
         # twin of this stage); stable order keeps within-bucket row
         # order identical to the groupby(sort=False) path
-        n = len(part)
-        if n:
-            bk = part["band_key"].to_numpy()
-            order = np.argsort(bk, kind="stable")
-            bk = bk[order]
+        if len(part):
+            order, starts, counts = sorted_runs(
+                part["band_key"].to_numpy())
             hi = part["sig_hi"].to_numpy(np.uint64)[order]
             lo = part["sig_lo"].to_numpy(np.uint64)[order]
             tmin = part["token_min"].to_numpy(np.float64)[order]
             tmax = part["token_max"].to_numpy(np.float64)[order]
             sha = part["rep_sha"].to_numpy()[order]
             bidx = part["band_idx"].to_numpy()[order]
-            starts = np.flatnonzero(np.r_[True, bk[1:] != bk[:-1]])
-            ends = np.r_[starts[1:], n]
-            for s, e in zip(starts, ends):
-                if e - s < 2:
-                    continue
+            multi = counts >= 2
+            for s, e in zip(starts[multi], (starts + counts)[multi]):
                 _pair_bucket(
                     hi[s:e], lo[s:e], tmin[s:e], tmax[s:e], sha[s:e],
                     int(bidx[s]), config, out_a, out_b, out_d,

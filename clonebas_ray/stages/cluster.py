@@ -16,7 +16,7 @@ Component builders (pick by edge volume):
   input (they reference distinct-signature representatives), so even a
   10^12-file corpus with a 1% near-dup rate yields an edge list that
   fits comfortably on the driver.  Mirrors ``CloneSet.cpp:22-84``
-  (union by rank + path compression).
+  (``kernels.union_find``: union by min sha + path compression).
 * ``label_propagation`` — distributed fallback for adversarial edge
   volumes: iterated min-label propagation over
   ``groupby(node).aggregate(min)`` until fixpoint.  O(diameter)
@@ -32,45 +32,25 @@ import pyarrow as pa
 
 import ray.data
 
+from clonebas_ray.functions.kernels import union_find
+
 
 def union_find_clusters(edges: pa.Table) -> dict[str, int]:
     """edge table (sha_a, sha_b) → {sha: cluster_id}; cluster ids are
     dense ints ordered by the min sha in each cluster (deterministic,
     independent of edge arrival order)."""
-    parent: dict[str, str] = {}
     if edges.num_rows == 0 or "sha_a" not in edges.column_names:
         return {}
-
-    def find(x: str) -> str:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    a_col = edges["sha_a"].to_pylist()
-    b_col = edges["sha_b"].to_pylist()
-    for a, b in zip(a_col, b_col):
-        if a not in parent:
-            parent[a] = a
-        if b not in parent:
-            parent[b] = b
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            # union by min sha keeps roots deterministic
-            if rb < ra:
-                ra, rb = rb, ra
-            parent[rb] = ra
-
-    roots: dict[str, list[str]] = {}
-    for sha in parent:
-        roots.setdefault(find(sha), []).append(sha)
-    out: dict[str, int] = {}
-    for cid, root in enumerate(sorted(roots)):
-        for sha in roots[root]:
-            out[sha] = cid
-    return out
+    roots = union_find(
+        [(edges["sha_a"].to_pylist(), edges["sha_b"].to_pylist())])
+    members: dict[str, list[str]] = {}
+    for sha, root in roots.items():
+        members.setdefault(root, []).append(sha)
+    return {
+        sha: cid
+        for cid, root in enumerate(sorted(members))
+        for sha in members[root]
+    }
 
 
 def clusters_table(assignment: dict[str, int], tier: int = 1) -> pa.Table:

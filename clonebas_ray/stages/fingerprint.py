@@ -298,133 +298,3 @@ def fingerprint_stage(
         max_restarts=0,
     )
 
-
-def fingerprint_distinct_stage(
-    ds: ray.data.Dataset,
-    config: PipelineConfig = DEFAULT_CONFIG,
-    concurrency: int | tuple[int, int] | None = None,
-    batch_size: int = 2048,
-    broadcast_limit: int = 2_000_000,
-) -> ray.data.Dataset:
-    """File-mode ``fingerprint_stage`` that parses each DISTINCT
-    ``(sha, lang)`` once and maps the signature back onto every file
-    row — identical output rows (modulo order), but a corpus with a
-    duplicate factor D does ~1/D of the parse work.  The bench corpus
-    measures 4.8x global duplication with only 1.10x inside any one
-    block, so the per-actor sha memo cannot capture it; web-scale
-    crawls skew even harder.
-
-    The key is (sha, lang), NOT sha alone: the same bytes lex
-    differently under another language profile, so two same-content
-    rows with different ``lang`` legitimately get different words.
-
-    Scale shape: a per-block first-occurrence trim, then ONE
-    hash-bucketed shuffle of the distinct rows (the standard
-    dedup-before-parse trade: shuffling ~bytes/D of content is three
-    orders cheaper than parsing the duplicates at ~0.25 s/MB/core),
-    the normal parse actor pool over the reps, and a broadcast
-    ``(sha, lang) -> sig`` merge over the full file table (the map is
-    16 B of signature + key per DISTINCT content — ``ray.put`` once).
-    Above ``broadcast_limit`` distinct reps the signature map no
-    longer belongs on one node; fall back to ``fingerprint_stage``
-    (at that cardinality a bucketed join would also beat re-parsing —
-    wire it here if a real corpus hits the limit).  Block mode always
-    takes the plain stage (per-file block explosion makes the rejoin
-    a different operator)."""
-    if config.block_mode:
-        return fingerprint_stage(ds, config, concurrency, batch_size)
-    from clonebas_ray.ops.relational import auto_partitions
-
-    ds = ds.materialize()  # consumed twice: rep extraction + rejoin
-
-    def block_trim(b: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        key = pd.MultiIndex.from_arrays(
-            [b["sha"].to_pandas(), b["lang"].to_pandas()])
-        return b.filter(pa.array(~key.duplicated()))
-
-    P = auto_partitions(mult=2, lo=32)
-
-    def add_bucket(b: pa.Table) -> pa.Table:
-        import numpy as np
-
-        from clonebas_ray.functions.murmur3 import md5_low64
-
-        h = np.fromiter(
-            (md5_low64((s + "\x00" + l).encode()) for s, l in
-             zip(b["sha"].to_pylist(), b["lang"].to_pylist())),
-            dtype=np.uint64, count=b.num_rows,
-        )
-        return b.append_column(
-            "bucket", pa.array((h % P).astype(np.int64), pa.int64()))
-
-    def bucket_dedup(g: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        # only the KEY columns touch pandas; content stays arrow
-        key = pd.MultiIndex.from_arrays(
-            [g["sha"].to_pandas(), g["lang"].to_pandas()])
-        return g.filter(
-            pa.array(~key.duplicated())).drop_columns(["bucket"])
-
-    reps = (
-        ds.map_batches(block_trim, batch_format="pyarrow",
-                       batch_size=None)
-        .map_batches(add_bucket, batch_format="pyarrow",
-                     batch_size=None)
-        .groupby("bucket")
-        .map_groups(bucket_dedup, batch_format="pyarrow")
-    )
-    rep_fps = fingerprint_stage(
-        reps, config, concurrency, batch_size
-    ).select_columns(["sha", "lang", "sig_hi", "sig_lo", "n_words"])
-    parts = [ray.get(r) for r in rep_fps.materialize().to_arrow_refs()]
-    parts = [p for p in parts if p.num_rows]
-    if parts and sum(p.num_rows for p in parts) > broadcast_limit:
-        return fingerprint_stage(ds, config, concurrency, batch_size)
-    sig_map = (
-        pa.concat_tables(parts) if parts
-        else pa.table({
-            "sha": pa.array([], pa.string()),
-            "lang": pa.array([], pa.string()),
-            "sig_hi": pa.array([], pa.uint64()),
-            "sig_lo": pa.array([], pa.uint64()),
-            "n_words": pa.array([], pa.int32()),
-        })
-    )
-    map_ref = ray.put(sig_map)
-    boundary = config.char_boundary
-
-    def attach(b: pa.Table) -> pa.Table:
-        import numpy as np
-        import pandas as pd
-
-        m = map_ref
-        if not isinstance(m, pa.Table):
-            m = ray.get(m)
-        left = pa.table({
-            "sha": b["sha"], "lang": b["lang"],
-        }).to_pandas()
-        merged = left.merge(
-            m.to_pandas(), on=["sha", "lang"], how="left", sort=False)
-        token_num = b["token_num"].to_numpy().astype(np.int32)
-        return pa.table({
-            "sha": b["sha"],
-            "file_key": b["file_key"],
-            "repo": b["repo"],
-            "path": b["path"],
-            "commit": b["commit"],
-            "lang": b["lang"],
-            "token_num": pa.array(token_num, pa.int32()),
-            "sig_hi": pa.array(
-                merged["sig_hi"].to_numpy(np.uint64), pa.uint64()),
-            "sig_lo": pa.array(
-                merged["sig_lo"].to_numpy(np.uint64), pa.uint64()),
-            "n_words": pa.array(
-                merged["n_words"].to_numpy(np.int32), pa.int32()),
-            "gen_fp": pa.array(token_num > boundary),
-        })
-
-    return ds.map_batches(attach, batch_format="pyarrow",
-                          batch_size=None)

@@ -62,6 +62,7 @@ import ray
 import ray.data
 
 from clonebas_ray.bootstrap import ensure_worker_importable
+from clonebas_ray.functions.kernels import sorted_runs
 from clonebas_ray.ops.text_dedup import MinHasher, _shingle_hashes
 
 
@@ -475,14 +476,8 @@ def incremental_neardup(
         # SHARD — drop duplicates before paying a blob Jaccard each
         sid = g["sid"].to_numpy(zero_copy_only=False)
         nid = g["nid"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((sid, nid))
-        dup = np.zeros(len(order), dtype=bool)
-        if len(order) > 1:
-            dup[1:] = (
-                (nid[order[1:]] == nid[order[:-1]])
-                & (sid[order[1:]] == sid[order[:-1]])
-            )
-        keep_rows = order[~dup]
+        order, starts, _ = sorted_runs(nid, sid)
+        keep_rows = order[starts]
         blobs = g["blob"].to_pylist()
         own = {
             nid[r]: blobs[r] for r in keep_rows if sid[r] == -1

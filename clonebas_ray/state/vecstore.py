@@ -55,6 +55,7 @@ import ray
 import ray.data
 
 from clonebas_ray.bootstrap import ensure_worker_importable
+from clonebas_ray.functions.kernels import sorted_runs
 from clonebas_ray.ops.similarity import (
     _batch_embeddings, _lowest_id_vectors, _normalize, train_codebook,
 )
@@ -378,13 +379,8 @@ def _compact_vec_shard(store_dir: str, shard: int):
     tab = _read_shard(store_dir, shard)
     lid = tab["list_id"].to_numpy(zero_copy_only=False)
     vid = tab["vec_id"].to_numpy(zero_copy_only=False)
-    order = np.lexsort((vid, lid))
-    keep_mask = np.ones(len(order), dtype=bool)
-    keep_mask[1:] = (
-        (lid[order][1:] != lid[order][:-1])
-        | (vid[order][1:] != vid[order][:-1])
-    )
-    merged = tab.take(pa.array(order[keep_mask], pa.int64()))
+    order, starts, _ = sorted_runs(lid, vid)
+    merged = tab.take(pa.array(order[starts], pa.int64()))
     keep = _append_part(store_dir, shard, merged)
     for p in parts:
         if keep is None or os.path.abspath(p) != os.path.abspath(keep):

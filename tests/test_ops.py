@@ -260,7 +260,7 @@ def test_embedding_lsh_identical_collapse(ray_session):
         embedding_near_dup_pairs,
         embedding_near_dup_pairs_lsh,
     )
-    from clonebas_ray.ops.text_dedup import _stream_int_union_find
+    from clonebas_ray.functions.kernels import stream_min_labels
 
     rng = np.random.default_rng(13)
     base = rng.normal(size=(30, 16)).astype(np.float32)
@@ -289,9 +289,9 @@ def test_embedding_lsh_identical_collapse(ray_session):
     assert (ones.cosine == 1.0).all()
     # components match the exact block-pair join's
     exact = embedding_near_dup_pairs(ds, threshold=0.999, block_rows=16)
-    cc_exact = _stream_int_union_find(
+    cc_exact = stream_min_labels(
         [exact], cols=("vec_a", "vec_b")).to_pandas()
-    cc_lsh = _stream_int_union_find(
+    cc_lsh = stream_min_labels(
         [ray.data.from_pandas(lsh[["vec_a", "vec_b"]])],
         cols=("vec_a", "vec_b")).to_pandas()
     ex = {tuple(r) for r in cc_exact.itertuples(index=False)}

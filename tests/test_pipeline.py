@@ -369,38 +369,16 @@ def test_label_propagation_fallback_identical_clusters(
     assert forced.cluster_stats.equals(base.cluster_stats)
 
 
-def test_parse_distinct_identical_output(
-    ray_session, corpus_dir, pipeline_result, tmp_path_factory
-):
-    """parse_distinct=True (parse one rep per (sha, lang), map sigs
-    back) reproduces the default path's cluster and stats tables
-    bit-for-bit — a physical knob, never a semantic one."""
-    from clonebas_ray.pipelines.dedup import run_dedup_pipeline
-
-    d, _ = corpus_dir
-    base, _ = pipeline_result
-    dedup = run_dedup_pipeline(
-        f"{d}/files.parquet",
-        str(tmp_path_factory.mktemp("pd_run")),
-        checkpoint=False,
-        parse_distinct=True,
-    )
-    assert dedup.metrics["parse_distinct"] is True
-    assert base.metrics["parse_distinct"] is False
-    assert dedup.clusters.equals(base.clusters)
-    assert dedup.cluster_stats.equals(base.cluster_stats)
-
-
-def test_parse_distinct_keys_on_sha_and_lang(ray_session, tmp_path):
+def test_fingerprint_keys_on_sha_and_lang(ray_session, tmp_path):
     """Identical bytes under different lang profiles must fingerprint
-    independently — the rep key is (sha, lang), never sha alone."""
+    independently, while the same (content, lang) always gives one
+    signature — the per-actor word memo keys on (sha, lang), never on
+    sha alone."""
     import pyarrow as pa
     import ray.data
 
     from clonebas_ray.config import DEFAULT_CONFIG
-    from clonebas_ray.stages.fingerprint import (
-        fingerprint_distinct_stage, fingerprint_stage,
-    )
+    from clonebas_ray.stages.fingerprint import fingerprint_stage
     from clonebas_ray.stages.ingest import prepare_stage
 
     code = "int f(int a) { return a + 1; }\n" * 12
@@ -410,54 +388,16 @@ def test_parse_distinct_keys_on_sha_and_lang(ray_session, tmp_path):
         "lang": ["cpp", "python", "cpp", "python"],
         "content": [code] * 4,
     })
-    ds = prepare_stage(ray.data.from_arrow(t))
-
-    def rows(stage):
-        return (
-            stage(ds, DEFAULT_CONFIG, concurrency=2)
-            .to_pandas()
-            .sort_values("file_key")
-            .reset_index(drop=True)
-        )
-
-    plain, dist = rows(fingerprint_stage), rows(fingerprint_distinct_stage)
-    assert plain.equals(dist)
-    by_lang = dist.groupby("lang")[["sig_hi", "sig_lo"]].nunique()
-    assert (by_lang <= 1).all().all()  # same content+lang -> same sig
-    cpp = dist[dist.lang == "cpp"].iloc[0]
-    py = dist[dist.lang == "python"].iloc[0]
+    fps = (
+        fingerprint_stage(
+            prepare_stage(ray.data.from_arrow(t)), DEFAULT_CONFIG,
+            concurrency=2)
+        .to_pandas()
+    )
+    assert len(fps) == 4
+    assert fps["sha"].nunique() == 1  # one content
+    by_lang = fps.groupby("lang")[["sig_hi", "sig_lo"]].nunique()
+    assert (by_lang == 1).all().all()  # same content+lang -> same sig
+    cpp = fps[fps.lang == "cpp"].iloc[0]
+    py = fps[fps.lang == "python"].iloc[0]
     assert (cpp.sig_hi, cpp.sig_lo) != (py.sig_hi, py.sig_lo)
-
-
-def test_parse_distinct_broadcast_limit_fallback(ray_session):
-    """Above broadcast_limit distinct reps the stage must fall back to
-    the plain path (the sig map no longer belongs on one node) — and
-    the fallback is output-identical."""
-    import pyarrow as pa
-    import ray.data
-
-    from clonebas_ray.config import DEFAULT_CONFIG
-    from clonebas_ray.stages.fingerprint import (
-        fingerprint_distinct_stage, fingerprint_stage,
-    )
-    from clonebas_ray.stages.ingest import prepare_stage
-
-    t = pa.table({
-        "repo": ["r"] * 6,
-        "path": [f"p{i}" for i in range(6)],
-        "commit": ["c"] * 6,
-        "lang": ["cpp"] * 6,
-        "content": [f"int f() {{ return {i % 3}; }}\n" * 9
-                    for i in range(6)],
-    })
-    ds = prepare_stage(ray.data.from_arrow(t))
-    plain = (
-        fingerprint_stage(ds, DEFAULT_CONFIG, concurrency=2)
-        .to_pandas().sort_values("file_key").reset_index(drop=True)
-    )
-    fallback = (
-        fingerprint_distinct_stage(
-            ds, DEFAULT_CONFIG, concurrency=2, broadcast_limit=1)
-        .to_pandas().sort_values("file_key").reset_index(drop=True)
-    )
-    assert plain.equals(fallback)
